@@ -14,7 +14,7 @@
 //	            [-page-bytes N] [-busy N] [-mlp F] [-workload NAME]
 //	            -o trace.rnt INPUT...
 //	rnuca-trace info trace.rnt
-//	rnuca-trace index [-upgrade OUT] [-stats] trace.rnt
+//	rnuca-trace index [-stats] trace.rnt
 //	rnuca-trace replay [-design R | -design P,A,S,R,I | -design all]
 //	            [-warm N] [-measure N] [-batches B] [-shards N]
 //	            [-window START:N] [-timeline FILE] [-epoch N] trace.rnt
@@ -28,8 +28,7 @@
 // single-threaded inputs onto cores and inferring page-grain classes
 // (see internal/ingest). info prints the header and a scan summary.
 // index prints the v2 chunk index (with -stats, per-chunk compressed
-// sizes and a lastAddr drift summary; with -upgrade, rewrites any
-// readable trace as an indexed v2 file). replay re-runs any of the five
+// sizes and a lastAddr drift summary). replay re-runs any of the five
 // designs over the saved trace, in parallel across designs and batches,
 // skipping generation cost; a same-design replay reproduces the
 // recording run's numbers exactly. On indexed traces, -shards fans
@@ -96,7 +95,7 @@ func usage() {
               [-classify stream|twopass|off] [-max-pages N] [-page-bytes N] [-busy N] [-mlp F]
               [-workload NAME] -o FILE INPUT...
   rnuca-trace info FILE
-  rnuca-trace index [-upgrade OUT] [-stats] FILE
+  rnuca-trace index [-stats] FILE
   rnuca-trace replay [-design IDS|all] [-warm N] [-measure N] [-batches B] [-shards N] [-window START:N] [-timeline FILE] [-epoch N] FILE
   rnuca-trace corpus add -dir STORE [-name NAME] FILE...
   rnuca-trace corpus ls -dir STORE
@@ -358,7 +357,7 @@ func info(args []string) {
 	}
 	defer f.Close()
 	hdr := f.Header()
-	fmt.Printf("%s: tracefile v%d\n", path, f.Version())
+	fmt.Printf("%s: tracefile v%d\n", path, tracefile.Version)
 	fmt.Printf("  workload     %s (%d cores, seed %d)\n", hdr.Workload, hdr.Cores, hdr.Seed)
 	fmt.Printf("  recorded by  design %s, warm %d + measure %d, off-chip MLP %.2f\n",
 		orNone(hdr.Design), hdr.Warm, hdr.Measure, hdr.OffChipMLP)
@@ -409,29 +408,19 @@ func info(args []string) {
 	fmt.Println()
 }
 
-// index prints a v2 trace's chunk index, or rewrites a trace (any
-// readable version) as an indexed v2 file with -upgrade. With -stats it
+// index prints a trace's chunk index. With -stats it
 // adds per-chunk compressed sizes and a lastAddr drift summary, the
 // corpus-hygiene view: wildly uneven chunk sizes or runaway address
 // drift flag a trace that was converted or recorded wrong.
 func index(args []string) {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
-	upgrade := fs.String("upgrade", "", "rewrite FILE as an indexed v2 trace at this path")
 	stats := fs.Bool("stats", false, "print per-chunk compressed sizes and a lastAddr drift summary")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		usage()
 	}
 	path := fs.Arg(0)
-	if *upgrade != "" {
-		upgradeTrace(path, *upgrade)
-		return
-	}
-
 	x, err := tracefile.OpenIndexed(path)
-	if errors.Is(err, tracefile.ErrNoIndex) {
-		fatalf("%s has no chunk index; rewrite it with\n  rnuca-trace index -upgrade NEW.rnt %s", path, path)
-	}
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -527,54 +516,6 @@ func printIndexStats(x *tracefile.IndexedReader) {
 		sumDrift/float64(samples), maxDrift, maxCore, maxChunk, netMax, netCore)
 }
 
-// upgradeTrace re-encodes src (v1 or v2) into an indexed v2 trace at
-// dst, preserving the header. The new trace is built in a temporary
-// file and renamed into place only after src has been read and the
-// result verified, so dst == src upgrades a trace in place instead of
-// truncating the input it is about to read.
-func upgradeTrace(src, dst string) {
-	f, err := tracefile.Open(src)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer f.Close()
-	tmp := dst + ".tmp"
-	out, err := tracefile.Create(tmp, f.Header())
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fail := func(format string, args ...interface{}) {
-		os.Remove(tmp)
-		fatalf(format, args...)
-	}
-	for {
-		r, ok := f.Next()
-		if !ok {
-			break
-		}
-		if err := out.Write(r); err != nil {
-			fail("upgrade: %v", err)
-		}
-	}
-	if err := f.Err(); err != nil {
-		fail("upgrade: reading %s: %v", src, err)
-	}
-	if err := out.Close(); err != nil {
-		fail("upgrade: %v", err)
-	}
-	x, err := tracefile.OpenIndexed(tmp)
-	if err != nil {
-		fail("upgrade: verifying %s: %v", tmp, err)
-	}
-	refs, chunks := x.Refs(), x.Chunks()
-	x.Close()
-	if err := os.Rename(tmp, dst); err != nil {
-		fail("upgrade: %v", err)
-	}
-	fmt.Printf("upgraded %s -> %s: v%d, %d records in %d chunks\n",
-		src, dst, tracefile.Version, refs, chunks)
-}
-
 // parseWindow parses a -window START:N spec ("START:" and "START" mean
 // to the end of the trace).
 func parseWindow(s string) (start, n uint64) {
@@ -622,8 +563,8 @@ func replay(args []string) {
 	}
 	path := fs.Arg(0)
 	if *shards == 0 {
-		// Auto: shard the decode only when the trace carries an index
-		// and there are cores free to run it; v1 traces stay sequential.
+		// Auto: shard the decode only when the trace opens indexed and
+		// there are cores free to run it.
 		*shards = 1
 		if runtime.GOMAXPROCS(0) > 1 {
 			if x, err := tracefile.OpenIndexed(path); err == nil {

@@ -27,8 +27,6 @@ func All() []*Analyzer {
 		WireFrozen,
 		CtxRules,
 		ObsNames,
-		HotPath,
-		Goroutines,
 		APIFreeze,
 	}
 }

@@ -10,9 +10,9 @@ import (
 
 func TestBaselineRoundTrip(t *testing.T) {
 	diags := []analysis.Diagnostic{
-		{File: "a.go", Line: 10, Code: "hot-map", Analyzer: "hotpath", Message: "m1"},
-		{File: "a.go", Line: 20, Code: "hot-map", Analyzer: "hotpath", Message: "m1"},
-		{File: "b.go", Line: 5, Code: "go-nojoin", Analyzer: "goroutines", Message: "m2"},
+		{File: "a.go", Line: 10, Code: "det-maprange", Analyzer: "determinism", Message: "m1"},
+		{File: "a.go", Line: 20, Code: "det-maprange", Analyzer: "determinism", Message: "m1"},
+		{File: "b.go", Line: 5, Code: "lock-unheld", Analyzer: "lockguard", Message: "m2"},
 	}
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	if err := analysis.WriteBaseline(path, diags); err != nil {
@@ -34,8 +34,8 @@ func TestBaselineRoundTrip(t *testing.T) {
 // TestBaselineLineDrift: matching ignores line numbers, so an edit
 // that shifts a baselined finding down the file does not resurrect it.
 func TestBaselineLineDrift(t *testing.T) {
-	entries := []analysis.BaselineEntry{{File: "a.go", Code: "hot-map", Message: "m"}}
-	drifted := []analysis.Diagnostic{{File: "a.go", Line: 999, Code: "hot-map", Message: "m"}}
+	entries := []analysis.BaselineEntry{{File: "a.go", Code: "det-maprange", Message: "m"}}
+	drifted := []analysis.Diagnostic{{File: "a.go", Line: 999, Code: "det-maprange", Message: "m"}}
 	admitted, fresh := analysis.ApplyBaseline(drifted, entries)
 	if len(admitted) != 1 || len(fresh) != 0 {
 		t.Errorf("drifted finding not admitted: admitted %d fresh %d", len(admitted), len(fresh))
@@ -45,10 +45,10 @@ func TestBaselineLineDrift(t *testing.T) {
 // TestBaselineMultiset: each entry admits one occurrence; a duplicate
 // of a baselined finding is new work and fails.
 func TestBaselineMultiset(t *testing.T) {
-	entries := []analysis.BaselineEntry{{File: "a.go", Code: "hot-map", Message: "m"}}
+	entries := []analysis.BaselineEntry{{File: "a.go", Code: "det-maprange", Message: "m"}}
 	diags := []analysis.Diagnostic{
-		{File: "a.go", Line: 1, Code: "hot-map", Message: "m"},
-		{File: "a.go", Line: 2, Code: "hot-map", Message: "m"},
+		{File: "a.go", Line: 1, Code: "det-maprange", Message: "m"},
+		{File: "a.go", Line: 2, Code: "det-maprange", Message: "m"},
 	}
 	admitted, fresh := analysis.ApplyBaseline(diags, entries)
 	if len(admitted) != 1 || len(fresh) != 1 {
@@ -70,7 +70,7 @@ func TestBaselineEmptyFile(t *testing.T) {
 	if len(entries) != 0 {
 		t.Fatalf("entries %d, want 0", len(entries))
 	}
-	diags := []analysis.Diagnostic{{File: "a.go", Code: "hot-map", Message: "m"}}
+	diags := []analysis.Diagnostic{{File: "a.go", Code: "det-maprange", Message: "m"}}
 	admitted, fresh := analysis.ApplyBaseline(diags, entries)
 	if len(admitted) != 0 || len(fresh) != 1 {
 		t.Errorf("empty baseline admitted something: %d/%d", len(admitted), len(fresh))

@@ -2,8 +2,7 @@
 // static analyzers enforcing the invariants the compiler cannot see —
 // replay determinism, lock discipline on mutex-guarded state, the
 // frozen canonical wire encoding, context plumbing rules, metric
-// naming, hot-path allocation discipline, goroutine lifecycle
-// ownership, and the frozen exported API surface.
+// naming, and the frozen exported API surface.
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API shape
 // (Analyzer, Pass, Reportf) but is built on the standard library alone
@@ -11,7 +10,7 @@
 // dependency-free. If the repo ever takes on x/tools, each analyzer's
 // Run function ports mechanically.
 //
-// rnuca-vet runs eight analyzers. Each diagnostic carries a stable
+// rnuca-vet runs six analyzers. Each diagnostic carries a stable
 // code (stable codes make findings greppable and CI-diffable); the
 // meta-test in this package asserts every code below has at least one
 // firing fixture under testdata/src, so no check can silently rot.
@@ -72,61 +71,6 @@
 //	obs-buckets       inline []float64 bucket literal instead of the
 //	                  shared ExpBuckets/DefSecondsBuckets helpers
 //
-// # hotpath
-//
-// Regions opted in with a //rnuca:hotpath marker (on a function's doc
-// comment or directly above a for/range statement) are the
-// per-reference loops the simulator spends its time in; inside them,
-// anything that heap-allocates per iteration or defeats inlining is a
-// finding:
-//
-//	hot-alloc    a composite literal, &literal, new(T), or make whose
-//	             value escapes the function (escape-checked: a value
-//	             literal or an address that never leaves the frame is
-//	             fine; make always fires — its backing array is heap)
-//	hot-append   append (reallocates on growth; preallocate capacity
-//	             outside the region or prove it with a waiver)
-//	hot-closure  a func literal that escapes (each miss would mint a
-//	             fresh heap closure; hoist it to construction time)
-//	hot-iface    method dispatch through an interface value (defeats
-//	             inlining on the hottest call edge; devirtualize)
-//	hot-map      map indexing, read or write (hashing plus a possible
-//	             grow; hot state belongs in slices indexed by ID)
-//	hot-defer    defer inside a loop body (runs at function exit, so
-//	             the deferred calls pile up across iterations)
-//	hot-convert  a string<->[]byte conversion (copies the bytes)
-//
-// The escape analysis is a local heuristic, deliberately conservative
-// in the compiler's direction: an allocation is "escaping" if its
-// value is returned, stored through a pointer, captured by an escaping
-// closure, or passed to another function. Waive a finding the numbers
-// justify with //rnuca:alloc-ok <reason> — the per-epoch flush that
-// allocates once per million references, the buffer that grows to a
-// high-water mark and is then recycled.
-//
-// # goroutines
-//
-// Every go statement must have a visible lifecycle owner — some
-// syntactic evidence, in the spawning function or the spawned body, of
-// who waits for or stops the goroutine:
-//
-//	go-leak        the spawned body loops forever with no exit path
-//	               (no return, break, channel op, or select in the
-//	               loop) — nothing can ever stop it
-//	go-nojoin      no join discipline found: not a WaitGroup Add/Done
-//	               pairing, not a channel send the spawner receives,
-//	               not a range over a closable channel, not a
-//	               done-channel select with a return
-//	go-unbuffered  the spawned body sends on an unbuffered channel
-//	               made in the spawning function with no visible
-//	               receiver — the classic abandoned-sender leak when
-//	               the consumer errors out early
-//
-// Test files are exempt (t.Cleanup and test scope bound lifetimes).
-// Genuinely detached goroutines — a singleflight whose completion is
-// published by closing a done channel, a reaper for a canceled
-// conversion — carry //rnuca:go-ok <reason>.
-//
 // # apifreeze
 //
 // A package opts in by owning a testdata/api-frozen.txt snapshot of
@@ -165,17 +109,9 @@
 //	                            read before the struct is shared)
 //	//rnuca:ctx-ok <reason>     waive a ctxrules finding (e.g. a
 //	                            server's lifecycle root context)
-//	//rnuca:alloc-ok <reason>   waive a hotpath finding (e.g. a buffer
-//	                            that grows to a high-water mark once,
-//	                            an append into preallocated capacity)
-//	//rnuca:go-ok <reason>      waive a goroutines finding (e.g. a
-//	                            deliberately detached singleflight)
 //	//rnuca:wire                mark a struct as part of a frozen wire
 //	                            shape (a declaration, not a waiver — no
 //	                            reason needed)
-//	//rnuca:hotpath             mark the following function or loop as
-//	                            a hot region (a declaration, not a
-//	                            waiver — no reason needed)
 //
 // Guarded state is declared with a plain comment on the field or
 // package variable:

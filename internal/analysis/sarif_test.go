@@ -17,8 +17,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/sarif-gol
 // the exact bytes GitHub code scanning will be fed.
 func sarifFixtureDiags() []analysis.Diagnostic {
 	return []analysis.Diagnostic{
-		{File: "/repo/internal/sim/engine.go", Line: 42, Col: 7, Code: "hot-map", Analyzer: "hotpath", Message: "map access in a hot path"},
-		{File: "/elsewhere/x.go", Line: 3, Col: 1, Code: "go-nojoin", Analyzer: "goroutines", Message: "go statement with no visible join"},
+		{File: "/repo/internal/sim/engine.go", Line: 42, Col: 7, Code: "det-maprange", Analyzer: "determinism", Message: "range over a map feeds accumulation"},
+		{File: "/elsewhere/x.go", Line: 3, Col: 1, Code: "lock-unheld", Analyzer: "lockguard", Message: "guarded field accessed without the mutex held"},
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"rnuca/internal/analysis"
 	"rnuca/internal/analysis/analysistest"
+	"rnuca/internal/leakcheck"
 )
 
 // fixtures maps each analyzer to its testdata/src package.
@@ -20,8 +21,6 @@ var fixtures = []struct {
 	{"wire", analysis.WireFrozen},
 	{"ctx", analysis.CtxRules},
 	{"obs", analysis.ObsNames},
-	{"hotpath", analysis.HotPath},
-	{"goroutines", analysis.Goroutines},
 	{"api", analysis.APIFreeze},
 }
 
@@ -48,14 +47,6 @@ func TestCtxRules(t *testing.T) {
 
 func TestObsNames(t *testing.T) {
 	analysistest.Run(t, fixtureDir(t, "obs"), analysis.ObsNames)
-}
-
-func TestHotPath(t *testing.T) {
-	analysistest.Run(t, fixtureDir(t, "hotpath"), analysis.HotPath)
-}
-
-func TestGoroutines(t *testing.T) {
-	analysistest.Run(t, fixtureDir(t, "goroutines"), analysis.Goroutines)
 }
 
 func TestAPIFreeze(t *testing.T) {
@@ -130,16 +121,6 @@ func TestAllCodesFrozen(t *testing.T) {
 		"det-maprange",
 		"det-rand",
 		"det-time",
-		"go-leak",
-		"go-nojoin",
-		"go-unbuffered",
-		"hot-alloc",
-		"hot-append",
-		"hot-closure",
-		"hot-convert",
-		"hot-defer",
-		"hot-iface",
-		"hot-map",
 		"lock-unheld",
 		"lock-unknown-mutex",
 		"obs-buckets",
@@ -186,6 +167,7 @@ func TestDiagnosticJSON(t *testing.T) {
 // same packages, same order, same diagnostics as the sequential path.
 // Skipped in -short mode (each worker re-typechecks shared deps).
 func TestLoadParallelParity(t *testing.T) {
+	leakcheck.Check(t)
 	if testing.Short() {
 		t.Skip("parallel load typechecks dependencies per worker")
 	}

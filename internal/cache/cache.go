@@ -205,8 +205,6 @@ func popcount(x uint64) int {
 
 // Lookup probes the cache. On a hit it refreshes LRU and returns the line.
 // The returned pointer is valid until the next mutation of the cache.
-//
-//rnuca:hotpath
 func (c *Cache) Lookup(addr Addr) (*Line, bool) {
 	set, tag := c.index(addr)
 	for i := range c.sets[set] {
@@ -224,8 +222,6 @@ func (c *Cache) Lookup(addr Addr) (*Line, bool) {
 
 // Peek probes without updating LRU or statistics (used by the directory and
 // the invariant-checking tests).
-//
-//rnuca:hotpath
 func (c *Cache) Peek(addr Addr) (*Line, bool) {
 	set, tag := c.index(addr)
 	for i := range c.sets[set] {
@@ -247,8 +243,6 @@ type Victim struct {
 // line of the set if full. It must not be called for a resident block
 // (callers Lookup first); doing so panics, because silently duplicating a
 // tag would corrupt occupancy accounting.
-//
-//rnuca:hotpath
 func (c *Cache) Insert(addr Addr, st State, class Class) Victim {
 	set, tag := c.index(addr)
 	lines := c.sets[set]
@@ -260,7 +254,6 @@ func (c *Cache) Insert(addr Addr, st State, class Class) Victim {
 	c.tick++
 	nl := Line{Tag: tag, State: st, Class: class, lru: c.tick}
 	if len(lines) < c.geom.Ways {
-		//rnuca:alloc-ok set growth is bounded by Ways and happens only while the set first fills; steady state replaces in place
 		c.sets[set] = append(lines, nl)
 		c.occupancy[class]++
 		return Victim{}

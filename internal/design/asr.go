@@ -73,8 +73,6 @@ func (d *ASR) Name() string {
 func (d *ASR) Prob() float64 { return d.prob }
 
 // Access implements sim.Design.
-//
-//rnuca:hotpath
 func (d *ASR) Access(r trace.Ref) sim.Cost {
 	cost, src := d.Private.access(r)
 	d.winRefs++

@@ -39,8 +39,6 @@ func NewPrivateBroadcast(ch *sim.Chassis) *PrivateBroadcast {
 func (d *PrivateBroadcast) Name() string { return "Pb" }
 
 // Access implements sim.Design.
-//
-//rnuca:hotpath
 func (d *PrivateBroadcast) Access(r trace.Ref) sim.Cost {
 	var cost sim.Cost
 	ch := d.ch

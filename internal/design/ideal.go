@@ -31,8 +31,6 @@ func (d *Ideal) home(addr cache.Addr) int {
 }
 
 // Access implements sim.Design.
-//
-//rnuca:hotpath
 func (d *Ideal) Access(r trace.Ref) sim.Cost {
 	var cost sim.Cost
 	ch := d.ch

@@ -51,16 +51,12 @@ func (d *Private) dirHome(addr cache.Addr) noc.TileID {
 }
 
 // Access implements sim.Design.
-//
-//rnuca:hotpath
 func (d *Private) Access(r trace.Ref) sim.Cost {
 	cost, _ := d.access(r)
 	return cost
 }
 
 // access returns the cost and the data source (reused by ASR).
-//
-//rnuca:hotpath
 func (d *Private) access(r trace.Ref) (sim.Cost, coherence.Source) {
 	var cost sim.Cost
 	ch := d.ch

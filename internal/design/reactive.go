@@ -95,13 +95,10 @@ func NewReactivePerThreadPrivate(ch *sim.Chassis, sizes []int) *Reactive {
 
 // privPlacement returns the placement engine governing a core's private
 // data.
-//
-//rnuca:hotpath
 func (d *Reactive) privPlacement(core int) *placement.Placement {
 	if d.privSizes == nil {
 		return d.place
 	}
-	//rnuca:alloc-ok only the per-thread private-cluster ablation takes this path; the map holds at most a handful of distinct sizes and never grows mid-run
 	return d.privPlaces[d.privSizes[core]]
 }
 
@@ -123,8 +120,6 @@ func (d *Reactive) LastPlacementClass() cache.Class { return d.lastClass }
 func (d *Reactive) ReclassCount() uint64 { return d.reclassCount }
 
 // Access implements sim.Design.
-//
-//rnuca:hotpath
 func (d *Reactive) Access(r trace.Ref) sim.Cost {
 	var cost sim.Cost
 	ch := d.ch

@@ -62,8 +62,6 @@ func (d *Shared) home(addr cache.Addr) noc.TileID {
 }
 
 // Access implements sim.Design.
-//
-//rnuca:hotpath
 func (d *Shared) Access(r trace.Ref) sim.Cost {
 	var cost sim.Cost
 	ch := d.ch

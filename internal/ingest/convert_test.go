@@ -2,6 +2,7 @@ package ingest_test
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"rnuca"
 	"rnuca/internal/cache"
 	"rnuca/internal/ingest"
+	"rnuca/internal/leakcheck"
 	"rnuca/internal/trace"
 	"rnuca/internal/tracefile"
 )
@@ -27,6 +29,7 @@ func replay(path string, id rnuca.DesignID, opt rnuca.RunOptions) (rnuca.Result,
 // corpus replays under R-NUCA and the other designs through
 // the rnuca Job API without error.
 func TestConvertDineroReplays(t *testing.T) {
+	leakcheck.Check(t)
 	out := filepath.Join(t.TempDir(), "tiny-din.rnt")
 	sum, err := ingest.Convert([]string{fixture("tiny.din")}, out, ingest.Options{
 		Interleave: ingest.InterleaveStride,
@@ -82,6 +85,7 @@ func TestConvertDineroReplays(t *testing.T) {
 // workload that replays, including under R-NUCA's reduced-grid
 // instruction clustering.
 func TestConvertFilesModeReplays(t *testing.T) {
+	leakcheck.Check(t)
 	out := filepath.Join(t.TempDir(), "pair.rnt")
 	sum, err := ingest.Convert([]string{fixture("tiny.din"), fixture("tiny.champ")}, out, ingest.Options{
 		Interleave: ingest.InterleaveFiles,
@@ -108,6 +112,7 @@ func TestConvertFilesModeReplays(t *testing.T) {
 
 // Keep mode preserves the core/thread placement a CSV capture carries.
 func TestConvertKeepPreservesCores(t *testing.T) {
+	leakcheck.Check(t)
 	out := filepath.Join(t.TempDir(), "csv.rnt")
 	sum, err := ingest.Convert([]string{fixture("tiny.csv")}, out, ingest.Options{
 		Interleave: ingest.InterleaveKeep,
@@ -140,6 +145,7 @@ func TestConvertKeepPreservesCores(t *testing.T) {
 // scan of the inputs' core ids, and the auto-sized conversion is
 // byte-identical to the equivalent explicit one.
 func TestConvertKeepAutoCores(t *testing.T) {
+	leakcheck.Check(t)
 	dir := t.TempDir()
 	auto := filepath.Join(dir, "auto.rnt")
 	sum, err := ingest.Convert([]string{fixture("tiny.csv")}, auto, ingest.Options{
@@ -189,6 +195,7 @@ func TestConvertKeepAutoCores(t *testing.T) {
 // the flat -busy budget applies only to formats without one, even when
 // both feed one conversion.
 func TestConvertKeepsDerivedBusy(t *testing.T) {
+	leakcheck.Check(t)
 	out := filepath.Join(t.TempDir(), "mix.rnt")
 	if _, err := ingest.Convert([]string{fixture("tiny.champ"), fixture("tiny.csv")}, out, ingest.Options{
 		Interleave: ingest.InterleaveStride,
@@ -228,6 +235,7 @@ func TestConvertKeepsDerivedBusy(t *testing.T) {
 // Two-pass classification settles one class per page across the whole
 // corpus; streaming classification may split a page's early refs.
 func TestConvertTwoPassSettlesPages(t *testing.T) {
+	leakcheck.Check(t)
 	out := filepath.Join(t.TempDir(), "twopass.rnt")
 	sum, err := ingest.Convert([]string{fixture("tiny.din")}, out, ingest.Options{
 		Interleave: ingest.InterleaveStride,
@@ -268,6 +276,7 @@ func TestConvertTwoPassSettlesPages(t *testing.T) {
 // ClassifyOff leaves classes unknown; conversion is deterministic
 // across runs either way.
 func TestConvertDeterministicAndClassifyOff(t *testing.T) {
+	leakcheck.Check(t)
 	dir := t.TempDir()
 	mk := func(name string, mode ingest.ClassifyMode) []byte {
 		out := filepath.Join(dir, name)
@@ -310,6 +319,7 @@ func TestConvertDeterministicAndClassifyOff(t *testing.T) {
 // Conversion failures surface exact positions and leave no partial
 // output behind.
 func TestConvertErrors(t *testing.T) {
+	leakcheck.Check(t)
 	dir := t.TempDir()
 	bad := filepath.Join(dir, "bad.din")
 	if err := os.WriteFile(bad, []byte("2 400000\n0 10000000\n9 nope\n"), 0o644); err != nil {
@@ -322,6 +332,19 @@ func TestConvertErrors(t *testing.T) {
 	}
 	if _, serr := os.Stat(out); !os.IsNotExist(serr) {
 		t.Fatalf("partial output left behind: %v", serr)
+	}
+	// The failure stops the decoders of sibling inputs, however much of
+	// their input is still unread (Check above fails a leaked one).
+	var long strings.Builder
+	for i := 0; i < 100_000; i++ {
+		fmt.Fprintf(&long, "0 %x\n", 0x10000000+64*i)
+	}
+	big := filepath.Join(dir, "big.din")
+	if err := os.WriteFile(big, []byte(long.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ingest.Convert([]string{bad, big}, out, ingest.Options{}); err == nil || !strings.Contains(err.Error(), "bad.din:3") {
+		t.Fatalf("corrupt input beside a long one: %v, want a bad.din:3 position", err)
 	}
 
 	if _, err := ingest.Convert(nil, out, ingest.Options{}); err == nil {

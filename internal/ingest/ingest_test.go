@@ -297,3 +297,43 @@ func TestLineLengthBound(t *testing.T) {
 		t.Fatalf("oversized line: %v", err)
 	}
 }
+
+// Each decoder's per-Next allocations, pinned at their measured values
+// (go1.24): a line costs a read buffer, its string and the field split,
+// which champsim spreads over the line's several refs. Budgets only
+// ratchet down.
+func TestDecoderSteadyStateAllocs(t *testing.T) {
+	for _, fx := range []struct {
+		file, format string
+		budget       float64
+	}{
+		{"tiny.din", "din", 3}, {"tiny.champ", "champsim", 1}, {"tiny.csv", "csv", 3},
+	} {
+		raw, err := os.ReadFile(filepath.Join("testdata", fx.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Comments and the CSV header once, then the records many times.
+		var head, body strings.Builder
+		for _, line := range strings.SplitAfter(string(raw), "\n") {
+			if strings.HasPrefix(line, "#") || strings.HasPrefix(line, "addr,") {
+				head.WriteString(line)
+			} else {
+				body.WriteString(line)
+			}
+		}
+		f, _ := ByName(fx.format)
+		d := f.New(strings.NewReader(head.String()+strings.Repeat(body.String(), 200)), fx.file)
+		for i := 0; i < 100; i++ {
+			d.Next()
+		}
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, ok := d.Next(); !ok {
+				t.Fatalf("%s: decoder dry: %v", fx.file, d.Err())
+			}
+		})
+		if allocs > fx.budget {
+			t.Errorf("%s: %.2f allocs per Next, budget %.0f", fx.format, allocs, fx.budget)
+		}
+	}
+}

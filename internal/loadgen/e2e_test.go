@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rnuca/internal/leakcheck"
 	"rnuca/internal/loadgen"
 	"rnuca/internal/serve"
 )
@@ -44,6 +45,7 @@ func scrape(t *testing.T, base, series string) float64 {
 // agree within estimator tolerance, with the saturation gauges back
 // at zero once everything drains.
 func TestLoadAgainstInProcessServe(t *testing.T) {
+	leakcheck.Check(t)
 	if testing.Short() {
 		t.Skip("e2e load run")
 	}

@@ -92,20 +92,10 @@ type Network struct {
 	nextFree   map[Link]float64
 	waitCycles float64
 
-	// Route reuse for the per-message walkers: appender is the topology's
-	// buffer-filling router (set once at construction when the topology
-	// supports it) and routeBuf the buffer it refills, so neither the
-	// link-queue model nor link accounting allocates a route per message.
-	appender routeAppender
+	// routeBuf is the route buffer every per-message walker refills, so
+	// neither the link-queue model nor link accounting allocates a route
+	// per message.
 	routeBuf []Link
-}
-
-// routeAppender is implemented by topologies that can write the
-// dimension-order route into a caller-provided buffer. Both built-in
-// topologies implement it; Route(a, b) remains in the Topology
-// interface for external implementations and cold callers.
-type routeAppender interface {
-	AppendRoute(buf []Link, a, b TileID) []Link
 }
 
 // NewNetwork returns a Network over the given topology and link parameters.
@@ -113,26 +103,14 @@ func NewNetwork(topo Topology, cfg LinkConfig) *Network {
 	if cfg.LinkBytes <= 0 || cfg.LinkLatency < 0 || cfg.RouterLatency < 0 {
 		panic(fmt.Sprintf("noc: invalid link config %+v", cfg))
 	}
-	n := &Network{topo: topo, cfg: cfg}
-	if ra, ok := topo.(routeAppender); ok {
-		n.appender = ra
-	}
-	return n
+	return &Network{topo: topo, cfg: cfg}
 }
 
-// route returns the dimension-order route from src to dst, reusing
-// n.routeBuf when the topology supports it. The returned slice is only
-// valid until the next call.
-//
-//rnuca:hotpath
+// route returns the dimension-order route from src to dst in n.routeBuf.
+// The returned slice is only valid until the next call.
 func (n *Network) route(src, dst TileID) []Link {
-	if n.appender != nil {
-		//rnuca:alloc-ok the topology boundary is the one deliberate dynamic dispatch; AppendRoute refills n.routeBuf instead of allocating
-		n.routeBuf = n.appender.AppendRoute(n.routeBuf[:0], src, dst)
-		return n.routeBuf
-	}
-	//rnuca:alloc-ok fallback for external Topology implementations without AppendRoute; built-in topologies never take this path
-	return n.topo.Route(src, dst)
+	n.routeBuf = n.topo.AppendRoute(n.routeBuf[:0], src, dst)
+	return n.routeBuf
 }
 
 // Topology returns the underlying topology.
@@ -163,10 +141,7 @@ func (n *Network) WaitCycles() float64 { return n.waitCycles }
 // Latency returns the end-to-end latency in cycles for a message of the
 // given payload from src to dst, including the current contention penalty,
 // and records the traffic. src == dst costs zero (same-tile access).
-//
-//rnuca:hotpath
 func (n *Network) Latency(src, dst TileID, bytes int) float64 {
-	//rnuca:alloc-ok topology dispatch is the designed seam; Hops is pure integer math on both implementations
 	hops := n.topo.Hops(src, dst)
 	if hops == 0 {
 		return 0
@@ -190,18 +165,14 @@ func (n *Network) Latency(src, dst TileID, bytes int) float64 {
 // traverseQueued walks the dimension-order route against per-link FCFS
 // occupancy: a message waits for each busy link, then occupies it for one
 // cycle per flit.
-//
-//rnuca:hotpath
 func (n *Network) traverseQueued(src, dst TileID, flits int) float64 {
 	arrival := n.now
 	for _, l := range n.route(src, dst) {
 		depart := arrival
-		//rnuca:alloc-ok per-link busy-until state is keyed by sparse Link pairs; the queue model is an opt-in ablation priced at ~2x
 		if busy := n.nextFree[l]; busy > depart {
 			n.waitCycles += busy - depart
 			depart = busy
 		}
-		//rnuca:alloc-ok same sparse busy-until map as the read above
 		n.nextFree[l] = depart + float64(flits)
 		arrival = depart + float64(n.cfg.LinkLatency+n.cfg.RouterLatency)
 	}
@@ -229,7 +200,7 @@ func (n *Network) RecordRoute(src, dst TileID, bytes int) {
 		n.perLink = make(map[Link]uint64)
 	}
 	flits := uint64(n.cfg.Flits(bytes))
-	for _, l := range n.topo.Route(src, dst) {
+	for _, l := range n.route(src, dst) {
 		n.perLink[l] += flits
 	}
 }
@@ -254,18 +225,13 @@ func (n *Network) EnableLinkAccounting() {
 // LinkAccountingEnabled reports whether EnableLinkAccounting was called.
 func (n *Network) LinkAccountingEnabled() bool { return n.linkAcct }
 
-//rnuca:hotpath
 func (n *Network) recordLinkFlits(src, dst TileID, flits uint64) {
 	for _, l := range n.route(src, dst) {
-		//rnuca:alloc-ok link->index lookup; links are sparse (from,to) pairs, and the steady state is one hash per hop with no growth
 		i, ok := n.acctIndex[l]
 		if !ok {
 			i = len(n.acctLinks)
-			//rnuca:alloc-ok first-traversal registration: each unique link grows the accounting exactly once
 			n.acctIndex[l] = i
-			//rnuca:alloc-ok same one-time registration as above
 			n.acctLinks = append(n.acctLinks, l)
-			//rnuca:alloc-ok same one-time registration as above
 			n.acctFlits = append(n.acctFlits, 0)
 		}
 		n.acctFlits[i] += flits

@@ -33,10 +33,11 @@ type Topology interface {
 	Tiles() int
 	// Hops returns the minimal number of links traversed from a to b.
 	Hops(a, b TileID) int
-	// Route returns the ordered list of directed links on the
-	// dimension-order route from a to b. Links are identified by
-	// (from, to) tile pairs. An empty route means a == b.
-	Route(a, b TileID) []Link
+	// AppendRoute appends the ordered directed links of the
+	// dimension-order route from a to b to links and returns the
+	// extended slice, so per-message callers reuse one buffer. Links are
+	// identified by (from, to) tile pairs; a == b appends nothing.
+	AppendRoute(links []Link, a, b TileID) []Link
 	// MaxHops returns the network diameter in hops.
 	MaxHops() int
 	// MeanHops returns the average hop count over all ordered pairs of
@@ -129,15 +130,8 @@ func (t *FoldedTorus2D) Hops(a, b TileID) int {
 	return ringDist(ca.X, cb.X, t.w) + ringDist(ca.Y, cb.Y, t.h)
 }
 
-// Route implements Topology using dimension-order (X then Y) routing.
-func (t *FoldedTorus2D) Route(a, b TileID) []Link {
-	return t.AppendRoute(nil, a, b)
-}
-
-// AppendRoute appends the dimension-order route to links and returns
-// the extended slice, letting per-message callers (the link-queue
-// contention model, flight link accounting) reuse one buffer instead
-// of allocating a fresh route per traversal.
+// AppendRoute implements Topology using dimension-order (X then Y)
+// routing.
 func (t *FoldedTorus2D) AppendRoute(links []Link, a, b TileID) []Link {
 	cur := t.coord(a)
 	dst := t.coord(b)
@@ -196,13 +190,8 @@ func (m *Mesh2D) Hops(a, b TileID) int {
 	return dx + dy
 }
 
-// Route implements Topology using X-then-Y dimension order routing.
-func (m *Mesh2D) Route(a, b TileID) []Link {
-	return m.AppendRoute(nil, a, b)
-}
-
-// AppendRoute appends the dimension-order route to links and returns
-// the extended slice (see FoldedTorus2D.AppendRoute).
+// AppendRoute implements Topology using X-then-Y dimension order
+// routing.
 func (m *Mesh2D) AppendRoute(links []Link, a, b TileID) []Link {
 	cur := m.coord(a)
 	dst := m.coord(b)

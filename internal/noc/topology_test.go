@@ -102,7 +102,7 @@ func TestRouteMatchesHops(t *testing.T) {
 		n := topo.Tiles()
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
-				route := topo.Route(TileID(a), TileID(b))
+				route := topo.AppendRoute(nil, TileID(a), TileID(b))
 				if len(route) != topo.Hops(TileID(a), TileID(b)) {
 					t.Fatalf("%s: route %d->%d has %d links, hops=%d",
 						topo.Name(), a, b, len(route), topo.Hops(TileID(a), TileID(b)))

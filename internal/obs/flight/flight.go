@@ -189,8 +189,6 @@ func (r *Recorder) Baseline(s Sample) {
 // Observe closes a base epoch at cumulative snapshot s. A sample that
 // advances no references (e.g. the end-of-run flush landing exactly on
 // a boundary) is ignored, so callers may flush unconditionally.
-//
-//rnuca:hotpath
 func (r *Recorder) Observe(s Sample) {
 	if s.Refs == r.prev.Refs {
 		return

@@ -217,7 +217,8 @@ func (c *Cache) Do(ctx context.Context, key string, fn func(ctx context.Context)
 		c.mu.Unlock()
 		c.misses.Add(1)
 		bump(c.obsMisses)
-		//rnuca:go-ok flights are detached by design: completion is published by closing f.done, and the waiter-refcount cancel bounds the lifetime
+		// The flight is detached: completion is published by closing
+		// f.done, and the waiter refcount cancels fctx.
 		go func() {
 			v, err := runProtected(fctx, fn)
 			cancel()

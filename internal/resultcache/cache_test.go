@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rnuca"
+	"rnuca/internal/leakcheck"
 	"rnuca/internal/obs"
 	"rnuca/internal/sim"
 )
@@ -18,6 +19,7 @@ import (
 // N concurrent Do calls for one key run the computation exactly once,
 // and every caller sees the same value.
 func TestDoSingleflight(t *testing.T) {
+	leakcheck.Check(t)
 	c := New(8)
 	var computed atomic.Int32
 	started := make(chan struct{})
@@ -78,6 +80,7 @@ func TestDoSingleflight(t *testing.T) {
 
 // Errors are surfaced to every waiter and never cached.
 func TestDoErrorNotCached(t *testing.T) {
+	leakcheck.Check(t)
 	c := New(8)
 	boom := errors.New("boom")
 	if _, _, err := c.Do(context.Background(), "k", func(ctx context.Context) (any, error) {
@@ -100,6 +103,7 @@ func TestDoErrorNotCached(t *testing.T) {
 // computing for the remaining waiters, and only loses its context when
 // the last one leaves.
 func TestDoCancelWaiterAndFlight(t *testing.T) {
+	leakcheck.Check(t)
 	c := New(8)
 	flightCtx := make(chan context.Context, 1)
 	release := make(chan struct{})
@@ -134,6 +138,7 @@ func TestDoCancelWaiterAndFlight(t *testing.T) {
 // cooperative computation can stop; a new Do after the flight clears
 // recomputes.
 func TestDoCancelLastWaiterCancelsFlight(t *testing.T) {
+	leakcheck.Check(t)
 	c := New(8)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -163,6 +168,7 @@ func TestDoCancelLastWaiterCancelsFlight(t *testing.T) {
 // A panicking computation becomes an error for every waiter, not a
 // dead process; nothing is cached, so a later Do retries.
 func TestDoRecoversPanics(t *testing.T) {
+	leakcheck.Check(t)
 	c := New(8)
 	_, _, err := c.Do(context.Background(), "k", func(ctx context.Context) (any, error) {
 		panic("sim: exploded")
@@ -285,6 +291,7 @@ func TestWorkloadJobKey(t *testing.T) {
 // Concurrent mixed traffic over many keys stays consistent (run under
 // -race in CI).
 func TestConcurrentStress(t *testing.T) {
+	leakcheck.Check(t)
 	c := New(16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

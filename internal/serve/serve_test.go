@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -21,6 +23,8 @@ import (
 	"rnuca"
 	"rnuca/internal/corpus"
 	"rnuca/internal/experiments"
+	"rnuca/internal/leakcheck"
+	"rnuca/internal/obs"
 )
 
 // testTrace records one small OLTP-DB2 trace per test binary run and
@@ -70,6 +74,7 @@ func newTestServer(t *testing.T, workers int) (*Server, *httptest.Server, corpus
 
 func newTestServerStore(t *testing.T, workers int) (*Server, *httptest.Server, corpus.Entry, *corpus.Store) {
 	t.Helper()
+	leakcheck.Check(t)
 	st, err := corpus.Open(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
@@ -585,6 +590,7 @@ func TestDrainRejectsNewJobs(t *testing.T) {
 // Convert jobs ingest foreign traces from the configured ingest
 // directory into the store — and refuse paths outside it.
 func TestConvertJobRootedInIngestDir(t *testing.T) {
+	leakcheck.Check(t)
 	st, err := corpus.Open(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
@@ -629,9 +635,46 @@ func TestConvertJobRootedInIngestDir(t *testing.T) {
 	}
 }
 
+// A canceled conversion releases its worker at once; the converter
+// finishes detached, and its reaper removes the temporary output.
+func TestCanceledConvertReaped(t *testing.T) {
+	din := filepath.Join(t.TempDir(), "big.din")
+	var b strings.Builder
+	for i := 0; i < 20000; i++ {
+		fmt.Fprintf(&b, "0 %x\n", 0x10000000+64*i)
+	}
+	if err := os.WriteFile(din, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmpGlob := filepath.Join(os.TempDir(), "rnuca-serve-convert-*.rnt")
+	before, _ := filepath.Glob(tmpGlob)
+	// Cleanups run last-in first-out: this check runs after the leak
+	// check has waited for the converter and the reaper to exit.
+	t.Cleanup(func() {
+		if after, _ := filepath.Glob(tmpGlob); len(after) > len(before) {
+			t.Errorf("canceled conversion left its output behind: %v", after)
+		}
+	})
+	leakcheck.Check(t)
+	s := New(Config{Workers: 1})
+	t.Cleanup(s.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	j := &job{
+		spec:  JobSpec{Kind: "convert", Convert: &ConvertSpec{Inputs: []string{din}, Cores: 2, Interleave: "stride"}},
+		ctx:   ctx,
+		trace: obs.NewTrace(0),
+	}
+	if _, err := s.executeConvert(j); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled conversion: %v, want context.Canceled", err)
+	}
+}
+
 // Terminal jobs beyond the history bound are pruned, oldest first;
 // live jobs always survive.
 func TestJobHistoryPruning(t *testing.T) {
+	leakcheck.Check(t)
 	st, err := corpus.Open(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)
@@ -703,6 +746,35 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if v := metric(t, hs.URL, "rnuca_jobs_rejected_total"); v != float64(len(specs)) {
 		t.Fatalf("rejected %v, want %d", v, len(specs))
+	}
+}
+
+// A client-supplied footprint beyond its address region is refused at
+// submit, before anything is sized from it.
+func TestOversizedWorkloadRejected(t *testing.T) {
+	_, hs, _ := newTestServer(t, 1)
+	w := rnuca.OLTPDB2()
+	w.InstrFootprint = 1 << 40
+	spec, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"input":{"workload":` + string(spec) + `},"designs":["R"]}`
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e map[string]string
+	json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e["error"], "InstrFootprint") {
+		t.Fatalf("InstrFootprint 1<<40: %s (%s), want 400 naming the footprint", resp.Status, e["error"])
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting the spec allocated %d bytes", grew)
 	}
 }
 

@@ -401,7 +401,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	done := make(chan struct{})
-	//rnuca:go-ok wait-or-cancel shim: exits when the job WaitGroup drains; a ctx timeout abandons it but it still terminates on its own
+	// A ctx timeout abandons this shim, but it still exits once the
+	// job WaitGroup drains.
 	go func() {
 		s.wg.Wait()
 		close(done)
@@ -713,7 +714,8 @@ func (s *Server) executeConvert(j *job) (*JobResult, error) {
 	}()
 	select {
 	case <-j.ctx.Done():
-		//rnuca:go-ok reaper for the detached conversion: exits after the buffered done send, removing the orphaned temp file
+		// Reap the detached conversion: remove its temp file once it
+		// finishes (the buffered send lets it exit).
 		go func() {
 			<-done
 			os.Remove(tmpPath)

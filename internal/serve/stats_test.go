@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"rnuca/internal/corpus"
+	"rnuca/internal/leakcheck"
 )
 
 // postRaw submits a job body and returns the raw response (callers
@@ -71,26 +72,36 @@ func TestThrottleAndDrainStatuses(t *testing.T) {
 	}
 
 	// Drain, then: 503, no Retry-After, throttled counter unchanged.
-	thrBefore := metric(t, hs.URL, "rnuca_jobs_throttled_total")
+	// The counter is read only once /readyz reports the drain: a POST
+	// sent before the drain takes effect still finds the queue full and
+	// is throttled.
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	drained := make(chan error, 1)
 	go func() { drained <- s.Drain(ctx) }()
 	dl := time.Now().Add(5 * time.Second)
 	for {
-		resp := postRaw(t, hs.URL, long)
-		code, retry := resp.StatusCode, resp.Header.Get("Retry-After")
+		resp, err := http.Get(hs.URL + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
-		if code == http.StatusServiceUnavailable {
-			if retry != "" {
-				t.Errorf("drain 503 carries Retry-After %q, want none", retry)
-			}
+		if resp.StatusCode == http.StatusServiceUnavailable {
 			break
 		}
 		if time.Now().After(dl) {
-			t.Fatalf("drain never started refusing (last status %d)", code)
+			t.Fatalf("drain never reached /readyz (last status %d)", resp.StatusCode)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+	thrBefore := metric(t, hs.URL, "rnuca_jobs_throttled_total")
+	resp := postRaw(t, hs.URL, long)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit during drain: %s, want 503", resp.Status)
+	}
+	if retry := resp.Header.Get("Retry-After"); retry != "" {
+		t.Errorf("drain 503 carries Retry-After %q, want none", retry)
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
@@ -104,6 +115,7 @@ func TestThrottleAndDrainStatuses(t *testing.T) {
 // attainment against the configured target, queue saturation, and
 // cache effectiveness — one consistent JSON snapshot.
 func TestStatsEndpoint(t *testing.T) {
+	leakcheck.Check(t)
 	st, err := corpus.Open(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)

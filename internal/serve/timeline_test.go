@@ -15,6 +15,7 @@ import (
 
 	"rnuca"
 	"rnuca/internal/corpus"
+	"rnuca/internal/leakcheck"
 	"rnuca/internal/obs/log"
 )
 
@@ -23,6 +24,7 @@ import (
 // trace as "oltp".
 func newFlightServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	leakcheck.Check(t)
 	st, err := corpus.Open(filepath.Join(t.TempDir(), "store"))
 	if err != nil {
 		t.Fatal(err)

@@ -191,11 +191,8 @@ func (e *Engine) Run(warm, measure int) Result {
 		fl = newFlightState(e)
 	}
 
-	// The per-ref loop is the reproduction's critical path: everything
-	// per-iteration must stay allocation-free, and every waiver below
-	// marks a deliberate exception (a designed interface seam or
-	// measurement-only map accounting).
-	//rnuca:hotpath
+	// The per-ref loop is the reproduction's critical path; the root
+	// package's TestEngineAllocBudgets pins its allocations per ref.
 	for i := 0; i < warm+measure; i++ {
 		if e.Progress != nil && i > 0 && i%tick == 0 && !e.Progress(i) {
 			break
@@ -215,7 +212,6 @@ func (e *Engine) Run(warm, measure int) Result {
 		// The link-queue contention model resolves each message against
 		// per-link occupancy at the requestor's current simulated time.
 		e.ch.Net.SetNow(e.clocks[core])
-		//rnuca:alloc-ok trace.Stream is the per-core feed abstraction; concrete streams are devirtualized in profiles that matter (synthetic + mmap replay)
 		r := e.streams[core].Next()
 		if r.Core != core {
 			// Streams are per-core; enforce agreement so accounting can
@@ -223,7 +219,6 @@ func (e *Engine) Run(warm, measure int) Result {
 			r.Core = core
 		}
 
-		//rnuca:alloc-ok the engine/design boundary is the one deliberate dynamic dispatch per reference
 		cost := e.design.Access(r)
 		// Memory-level parallelism overlaps independent *data* misses
 		// (ROB + MSHRs); instruction-fetch misses stall the front end
@@ -266,13 +261,10 @@ func (e *Engine) Run(warm, measure int) Result {
 			// accesses are tallied after the run, once each page's full
 			// class set is known.
 			page := r.Addr / uint64(e.ch.Cfg.PageBytes)
-			//rnuca:alloc-ok §5.2 accuracy accounting needs per-page ground truth; pages are sparse in the address space so a map is the honest structure
 			e.pageMask[page] |= 1 << uint(r.Class)
-			//rnuca:alloc-ok same sparse per-page accounting as the mask above
 			e.pageCount[page]++
 			if hasClassifier {
 				res.ClassifiedAccesses++
-				//rnuca:alloc-ok Classifier is an optional capability interface; only R-NUCA implements it and the call is one predicted branch
 				if classifier.LastPlacementClass() != r.Class {
 					res.MisclassifiedAccesses++
 				}
@@ -295,7 +287,6 @@ func (e *Engine) Run(warm, measure int) Result {
 		// Close contention windows when every core has passed the mark.
 		if min := e.minClock(); min-lastWindow >= window {
 			e.ch.Advance(uint64(window))
-			//rnuca:alloc-ok window close: one dispatch amortized over WindowCycles references
 			e.design.Advance(uint64(window))
 			lastWindow = min
 		}

@@ -3,8 +3,8 @@
 // one: reference streams can be captured once (from the statistical
 // generators or any other trace.RefSource), stored as deterministic
 // regression corpora, and replayed under any design without paying the
-// generation cost again. Version 2 adds a chunk index and footer, so a
-// trace is also seekable (IndexedReader.Seek), windowable (Window),
+// generation cost again. A chunk index and footer make a trace
+// seekable (IndexedReader.Seek), windowable (Window),
 // shardable across workers (Shard, Parallel), and safe for any number of
 // concurrent readers over one file descriptor. cmd/rnuca-trace is the
 // command-line front end; rnuca.Record and rnuca.Replay are the library
@@ -13,8 +13,8 @@
 // # On-disk format
 //
 // A trace file is a fixed preamble, a varint-encoded metadata block, a
-// sequence of gzip-framed chunks and — in version 2 — an index section,
-// then a terminator frame and (version 2) a fixed footer:
+// sequence of gzip-framed chunks, an index section, then a terminator
+// frame and a fixed footer:
 //
 //	offset  size  field
 //	0       4     magic "RNTR"
@@ -46,9 +46,9 @@
 // field carries the low 32 bits of the file's total ref count, letting
 // readers distinguish clean ends from truncation.
 //
-// # Chunk index and footer (version 2)
+// # Chunk index and footer
 //
-// A v2 writer appends exactly one index section between the last data
+// The writer appends exactly one index section between the last data
 // chunk and the terminator. It is framed like a chunk — compressed
 // length, uncompressed length, then the gzip payload — except that its
 // count field holds the sentinel 0xFFFFFFFF (unreachable as a real
@@ -75,18 +75,14 @@
 // LE), the total record count (uint64 LE — authoritative even when the
 // preamble count was never patched), the chunk count (uint32 LE), and
 // the footer magic "RNIX". Sequential readers validate the footer at
-// the terminator, so truncation anywhere in a v2 file is detected.
+// the terminator, so truncation anywhere in a file is detected.
 //
 // # Versioning rules
 //
-// Readers accept versions 1 and 2: a v1 file is simply a v2 file with
-// no index section and no footer, and every v1 trace remains readable
-// (rnuca-trace index -upgrade rewrites one as indexed v2). Writers only
-// produce the current version. Random access requires v2 — opening a
-// v1 file through IndexedReader fails with ErrNoIndex, never silently
-// degrades. Unknown future versions are rejected up front; unknown
-// trailing metadata fields are ignored, so v2.x extensions can add
-// header fields without a version bump.
+// Readers and writers support version 2 only; any other version,
+// including the index-less v1 of early recordings, is rejected up front
+// as unsupported. Unknown trailing metadata fields are ignored, so v2.x
+// extensions can add header fields without a version bump.
 //
 // # Record encoding
 //

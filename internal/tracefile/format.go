@@ -9,14 +9,10 @@ import (
 
 // Format constants. See doc.go for the full layout.
 const (
-	// Version is the current on-disk format version: v2 adds a chunk
-	// index before the terminator and a fixed footer after it, making
-	// traces seekable and shardable. Readers accept v1 and v2.
+	// Version is the on-disk format version, the only one readers
+	// accept: v2 adds a chunk index before the terminator and a fixed
+	// footer after it, making traces seekable and shardable.
 	Version = 2
-	// versionV1 is the index-less original format, still readable (and
-	// still writable through the unexported newWriterVersion, which the
-	// compatibility tests use).
-	versionV1 = 1
 
 	magic = "RNTR"
 	// countOffset is the byte offset of the patchable total-ref count.
@@ -99,9 +95,8 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// encodeHeader renders the full preamble (magic through metadata block)
-// for the given format version.
-func encodeHeader(h Header, version int) []byte {
+// encodeHeader renders the full preamble (magic through metadata block).
+func encodeHeader(h Header) []byte {
 	meta := make([]byte, 0, 64)
 	meta = appendString(meta, h.Workload)
 	meta = appendString(meta, h.Design)
@@ -113,7 +108,7 @@ func encodeHeader(h Header, version int) []byte {
 
 	out := make([]byte, 0, countOffset+8+binary.MaxVarintLen64+len(meta))
 	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint16(out, uint16(version))
+	out = binary.LittleEndian.AppendUint16(out, Version)
 	out = binary.LittleEndian.AppendUint64(out, h.Refs)
 	out = appendUvarint(out, uint64(len(meta)))
 	return append(out, meta...)

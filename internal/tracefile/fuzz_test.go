@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -14,24 +15,12 @@ func fuzzSeed() []byte {
 		randRefs(rng, 200, 4), 32)
 }
 
-// fuzzSeedV1 is its index-less v1 counterpart.
-func fuzzSeedV1() []byte {
-	rng := rand.New(rand.NewSource(2))
-	var buf bytes.Buffer
-	w, err := newWriterVersion(&buf, Header{Workload: "fuzz1", Cores: 3}, versionV1)
-	if err != nil {
-		panic(err)
-	}
-	w.ChunkRefs = 32
-	for _, r := range randRefs(rng, 150, 3) {
-		if err := w.Write(r); err != nil {
-			panic(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
+// fuzzSeedRetired is fuzzSeed stamped with the retired v1 version,
+// which readers refuse up front.
+func fuzzSeedRetired() []byte {
+	b := fuzzSeed()
+	binary.LittleEndian.PutUint16(b[4:], 1)
+	return b
 }
 
 // FuzzReader hammers the streaming reader with arbitrary bytes —
@@ -42,7 +31,7 @@ func fuzzSeedV1() []byte {
 func FuzzReader(f *testing.F) {
 	valid := fuzzSeed()
 	f.Add(valid)
-	f.Add(fuzzSeedV1())
+	f.Add(fuzzSeedRetired())
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(valid)-footerSize/2]) // cut inside the footer
 	f.Add(valid[:20])
@@ -79,7 +68,7 @@ func FuzzReader(f *testing.F) {
 func FuzzIndexedReader(f *testing.F) {
 	valid := fuzzSeed()
 	f.Add(valid)
-	f.Add(fuzzSeedV1())
+	f.Add(fuzzSeedRetired())
 	f.Add(valid[:len(valid)-1])
 	f.Add(valid[:len(valid)/3])
 	// Footer pointing into the footer itself.

@@ -2,7 +2,6 @@ package tracefile
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,10 +11,6 @@ import (
 
 	"rnuca/internal/trace"
 )
-
-// ErrNoIndex reports a readable trace that carries no chunk index (a v1
-// file); sequential replay still works, random access does not.
-var ErrNoIndex = errors.New("tracefile: trace has no chunk index (v1 format; rewrite with rnuca-trace index -upgrade)")
 
 // IndexedReader provides random access to a v2 trace through its chunk
 // index: Seek, Window, and Shard return independent cursors over record
@@ -61,15 +56,11 @@ func OpenIndexed(path string) (*IndexedReader, error) {
 
 // NewIndexedReader builds an IndexedReader over size bytes of ra: the
 // preamble is parsed from the front, the footer from the back, and the
-// chunk index from the offset the footer names. A v1 trace yields
-// ErrNoIndex.
+// chunk index from the offset the footer names.
 func NewIndexedReader(ra io.ReaderAt, size int64) (*IndexedReader, error) {
 	sr, err := NewReader(io.NewSectionReader(ra, 0, size))
 	if err != nil {
 		return nil, err
-	}
-	if sr.Version() < 2 {
-		return nil, ErrNoIndex
 	}
 	if size < footerSize {
 		return nil, corruptf("v2 trace of %d bytes cannot hold a footer", size)
@@ -422,12 +413,9 @@ func (x *IndexedReader) Parallel(workers int, start, n uint64) (*ParallelSource,
 // decodeChunk decompresses chunk i in full and verifies it against the
 // index (record count and per-core snapshot). The records are appended
 // to dst[:0], so callers can recycle batch backing arrays.
-//
-//rnuca:hotpath
 func (x *IndexedReader) decodeChunk(dec *chunkDecoder, i int, dst []trace.Ref) ([]trace.Ref, error) {
 	e := &x.idx[i]
 	var frame [frameSize]byte
-	//rnuca:alloc-ok ReaderAt is the random-access seam (os.File or section reader); one dispatch per chunk, not per record
 	if _, err := x.ra.ReadAt(frame[:], int64(e.Offset)); err != nil {
 		return nil, corruptf("chunk %d frame: %v", i, err)
 	}
@@ -441,11 +429,9 @@ func (x *IndexedReader) decodeChunk(dec *chunkDecoder, i int, dst []trace.Ref) (
 		return nil, corruptf("chunk frame lengths %d/%d/%d", compLen, rawLen, count)
 	}
 	if cap(dec.comp) < int(compLen) {
-		//rnuca:alloc-ok decompress buffer grows to the chunk high-water mark once, then is recycled across chunks
 		dec.comp = make([]byte, compLen)
 	}
 	dec.comp = dec.comp[:compLen]
-	//rnuca:alloc-ok ReaderAt is the random-access seam; one dispatch per chunk, not per record
 	if _, err := x.ra.ReadAt(dec.comp, int64(e.Offset)+frameSize); err != nil {
 		return nil, corruptf("chunk %d payload: %v", i, err)
 	}
@@ -454,7 +440,6 @@ func (x *IndexedReader) decodeChunk(dec *chunkDecoder, i int, dst []trace.Ref) (
 	}
 	refs := dst[:0]
 	if cap(refs) < int(count) {
-		//rnuca:alloc-ok batch buffers come from batchPool and grow to chunk-size capacity once, then recycle
 		refs = make([]trace.Ref, 0, count)
 	}
 	for !dec.drained() {
@@ -462,7 +447,6 @@ func (x *IndexedReader) decodeChunk(dec *chunkDecoder, i int, dst []trace.Ref) (
 		if !ok {
 			return nil, dec.err
 		}
-		//rnuca:alloc-ok capacity is preallocated to the chunk record count above; this append never grows
 		refs = append(refs, r)
 	}
 	if !dec.checkComplete() {

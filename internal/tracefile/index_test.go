@@ -3,12 +3,13 @@ package tracefile
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"rnuca/internal/leakcheck"
 	"rnuca/internal/trace"
 )
 
@@ -163,6 +164,7 @@ func TestIndexShardUnion(t *testing.T) {
 // The parallel source yields the byte-identical stream a sequential read
 // does, for assorted worker counts and windows, and restarts cleanly.
 func TestParallelSourceOrdered(t *testing.T) {
+	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(24))
 	refs := randRefs(rng, 2000, 6)
 	x := indexedOver(t, refs, 6, 128)
@@ -205,6 +207,7 @@ func TestParallelSourceOrdered(t *testing.T) {
 // Closing a parallel source mid-stream terminates its workers without
 // wedging, however little was consumed.
 func TestParallelSourceEarlyClose(t *testing.T) {
+	leakcheck.Check(t)
 	rng := rand.New(rand.NewSource(25))
 	refs := randRefs(rng, 3000, 2)
 	x := indexedOver(t, refs, 2, 32)
@@ -223,47 +226,19 @@ func TestParallelSourceEarlyClose(t *testing.T) {
 	}
 }
 
-// v1 files (no index, no footer) remain fully readable through the
-// sequential path and are cleanly refused by the random-access one.
-func TestV1StillReadable(t *testing.T) {
+// A v1 header (the index-less format of early recordings) is refused up
+// front as an unsupported version, by the streaming and the random-access
+// reader alike.
+func TestV1HeaderRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	refs := randRefs(rng, 400, 3)
-	hdr := Header{Workload: "old", Design: "P", Cores: 3, Seed: 7, OffChipMLP: 1.5}
-
-	var buf bytes.Buffer
-	w, err := newWriterVersion(&buf, hdr, versionV1)
-	if err != nil {
-		t.Fatal(err)
+	data := writeTrace(t, Header{Workload: "old", Cores: 3}, randRefs(rng, 400, 3), 64)
+	binary.LittleEndian.PutUint16(data[4:], 1)
+	const want = "unsupported format version 1"
+	if _, err := NewReader(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewReader on a v1 header: %v, want %q", err, want)
 	}
-	w.ChunkRefs = 64
-	for _, r := range refs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if v := binary.LittleEndian.Uint16(data[4:]); v != versionV1 {
-		t.Fatalf("compat writer stamped version %d", v)
-	}
-
-	got, back, err := ReadAll(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("reading v1: %v", err)
-	}
-	if got.Workload != hdr.Workload || len(back) != len(refs) {
-		t.Fatalf("v1 round trip: hdr %+v, %d refs", got, len(back))
-	}
-	for i := range refs {
-		if back[i] != refs[i] {
-			t.Fatalf("v1 ref %d: %+v != %+v", i, back[i], refs[i])
-		}
-	}
-
-	if _, err := NewIndexedReader(bytes.NewReader(data), int64(len(data))); !errors.Is(err, ErrNoIndex) {
-		t.Fatalf("v1 through the indexed path: %v", err)
+	if _, err := NewIndexedReader(bytes.NewReader(data), int64(len(data))); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("NewIndexedReader on a v1 header: %v, want %q", err, want)
 	}
 }
 
@@ -384,7 +359,7 @@ func TestWriterSplitsOversizedChunks(t *testing.T) {
 func TestDecodeBoundsTightened(t *testing.T) {
 	mkTrace := func(rec []byte) []byte {
 		var buf bytes.Buffer
-		wv, err := newWriterVersion(&buf, Header{Workload: "b", Cores: 2}, versionV1)
+		wv, err := NewWriter(&buf, Header{Workload: "b", Cores: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,8 +120,6 @@ func (d *chunkDecoder) varint() int64 {
 // the in-memory representation can hold on every platform: busy and the
 // reconstructed thread must fit an int32, so int conversions cannot
 // overflow even on 32-bit builds.
-//
-//rnuca:hotpath
 func (d *chunkDecoder) decode() (trace.Ref, bool) {
 	if d.nref >= d.declared {
 		d.fail(corruptf("chunk payload holds more than its declared %d records", d.declared))
@@ -168,7 +166,7 @@ func (d *chunkDecoder) decode() (trace.Ref, bool) {
 	}, true
 }
 
-// Reader streams references back out of a trace, v1 or v2. It implements
+// Reader streams references back out of a trace. It implements
 // trace.RefSource; after NewReader's setup allocations, Next decodes
 // records without allocating (buffers are reused across chunks).
 //
@@ -176,10 +174,9 @@ func (d *chunkDecoder) decode() (trace.Ref, bool) {
 // the clean end of the trace and on error alike; Err distinguishes the
 // two.
 type Reader struct {
-	br      *bufio.Reader
-	hdr     Header
-	version int
-	eof     bool
+	br  *bufio.Reader
+	hdr Header
+	eof bool
 
 	total     uint64
 	chunks    uint32
@@ -201,7 +198,7 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, corruptf("bad magic %q", pre[:4])
 	}
 	version := int(binary.LittleEndian.Uint16(pre[4:]))
-	if version != versionV1 && version != Version {
+	if version != Version {
 		return nil, fmt.Errorf("tracefile: unsupported format version %d (have %d)", version, Version)
 	}
 	var hdr Header
@@ -225,16 +222,13 @@ func NewReader(r io.Reader) (*Reader, error) {
 		cores = maxCores // headerless core count: accept any in-range core
 	}
 	return &Reader{
-		br: br, hdr: hdr, version: version,
+		br: br, hdr: hdr,
 		dec: chunkDecoder{lastAddr: make([]uint64, cores)},
 	}, nil
 }
 
 // Header returns the trace metadata.
 func (r *Reader) Header() Header { return r.hdr }
-
-// Version returns the trace's on-disk format version (1 or 2).
-func (r *Reader) Version() int { return r.version }
 
 // Total returns the number of records decoded so far.
 func (r *Reader) Total() uint64 { return r.total }
@@ -260,9 +254,9 @@ func (r *Reader) Next() (trace.Ref, bool) {
 	return ref, ok
 }
 
-// nextChunk reads and decompresses the next data chunk, skipping the v2
+// nextChunk reads and decompresses the next data chunk, skipping the
 // index section, and returns false at the terminator or on error. At the
-// terminator of a v2 trace the footer is read and validated too, so
+// terminator the footer is read and validated too, so
 // truncation anywhere in the file surfaces as an error.
 func (r *Reader) nextChunk() bool {
 	if !r.dec.checkComplete() {
@@ -286,16 +280,16 @@ func (r *Reader) nextChunk() bool {
 				r.dec.fail(corruptf("header declares %d records, decoded %d", r.hdr.Refs, r.total))
 				return false
 			}
-			if r.version >= 2 && !r.checkFooter() {
+			if !r.checkFooter() {
 				return false
 			}
 			r.eof = true
 			return false
 		}
 		if count == indexMarker {
-			// The v2 chunk index: the streaming reader skips it (the
+			// The chunk index: the streaming reader skips it (the
 			// IndexedReader is its consumer), validating the frame.
-			if r.version < 2 || r.seenIndex {
+			if r.seenIndex {
 				r.dec.fail(corruptf("unexpected index section"))
 				return false
 			}

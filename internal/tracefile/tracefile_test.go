@@ -9,6 +9,7 @@ import (
 
 	"rnuca/internal/cache"
 	"rnuca/internal/trace"
+	"rnuca/internal/workload"
 )
 
 // randRefs builds a deterministic pseudo-random ref sequence shaped like
@@ -328,18 +329,45 @@ func TestReaderSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm up: first chunk allocates the reusable buffers.
-	for i := 0; i < 100; i++ {
-		r.Next()
+	x, err := NewIndexedReader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := r.Next(); !ok && r.Err() != nil {
-			t.Fatal(r.Err())
+	cur, err := x.Seek(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := x.Parallel(2, 0, x.Refs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer par.Close()
+	gen := workload.NewGenerator(workload.OLTPDB2(), 0)
+	for _, src := range []struct {
+		name string
+		next func() (trace.Ref, bool)
+		err  func() error
+		// Chunk boundaries may reset gzip state: the streaming reader
+		// gets a small amortized budget, but fails if every ref
+		// allocates.
+		budget float64
+	}{
+		{"Reader", r.Next, r.Err, 0.5},
+		{"Cursor", cur.Next, cur.Err, 0},
+		{"ParallelSource", par.Next, par.Err, 0},
+		{"Generator", func() (trace.Ref, bool) { return gen.Next(), true }, func() error { return nil }, 0},
+	} {
+		// Warm up: the first chunk allocates the reusable buffers.
+		for i := 0; i < 100; i++ {
+			src.next()
 		}
-	})
-	// Chunk boundaries may reset gzip state; allow a small amortized
-	// budget but fail if every ref allocates.
-	if allocs > 0.5 {
-		t.Fatalf("%.2f allocs per Next", allocs)
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, ok := src.next(); !ok {
+				t.Fatalf("%s dry: %v", src.name, src.err())
+			}
+		})
+		if allocs > src.budget {
+			t.Errorf("%s: %.2f allocs per Next, budget %.1f", src.name, allocs, src.budget)
+		}
 	}
 }

@@ -14,10 +14,9 @@ import (
 // single-goroutine, like the engine that feeds it. Errors latch: after
 // the first failure every Write is a no-op and Close returns the error.
 type Writer struct {
-	w       io.Writer
-	hdr     Header
-	version int
-	err     error
+	w   io.Writer
+	hdr Header
+	err error
 
 	// ChunkRefs is the number of records per chunk. It may be lowered
 	// before the first Write (tests use tiny chunks to exercise
@@ -44,22 +43,16 @@ type Writer struct {
 // appending chunks to it. hdr.Refs is ignored (the count is patched by
 // FileWriter.Close when the destination can seek).
 func NewWriter(w io.Writer, hdr Header) (*Writer, error) {
-	return newWriterVersion(w, hdr, Version)
-}
-
-// newWriterVersion is NewWriter for an explicit format version; the
-// compatibility tests use it to produce index-less v1 files.
-func newWriterVersion(w io.Writer, hdr Header, version int) (*Writer, error) {
 	if hdr.Cores <= 0 || hdr.Cores > maxCores {
 		return nil, fmt.Errorf("tracefile: core count %d outside 1..%d", hdr.Cores, maxCores)
 	}
 	hdr.Refs = 0
-	pre := encodeHeader(hdr, version)
+	pre := encodeHeader(hdr)
 	if _, err := w.Write(pre); err != nil {
 		return nil, fmt.Errorf("tracefile: writing header: %w", err)
 	}
 	return &Writer{
-		w: w, hdr: hdr, version: version,
+		w: w, hdr: hdr,
 		ChunkRefs: DefaultChunkRefs,
 		lastAddr:  make([]uint64, hdr.Cores),
 		off:       uint64(len(pre)),
@@ -140,7 +133,7 @@ func (w *Writer) Flush() error {
 		} else if _, err := w.w.Write(w.gzBuf.Bytes()); err != nil {
 			w.err = err
 		}
-		if w.err == nil && w.version >= 2 {
+		if w.err == nil {
 			w.idx = append(w.idx, IndexEntry{
 				Offset:      chunkOff,
 				FirstRecord: w.total - uint64(w.nref),
@@ -196,21 +189,17 @@ func (w *Writer) writeIndex() (uint64, error) {
 	return indexOff, nil
 }
 
-// Close flushes the final chunk and writes the index (v2), the
-// terminator frame, and the footer (v2). It does not close the
+// Close flushes the final chunk and writes the index, the terminator
+// frame, and the footer. It does not close the
 // underlying io.Writer (FileWriter does).
 func (w *Writer) Close() error {
 	if err := w.Flush(); err != nil {
 		return err
 	}
-	var indexOff uint64
-	if w.version >= 2 {
-		off, err := w.writeIndex()
-		if err != nil {
-			w.err = fmt.Errorf("tracefile: writing index: %w", err)
-			return w.err
-		}
-		indexOff = off
+	indexOff, err := w.writeIndex()
+	if err != nil {
+		w.err = fmt.Errorf("tracefile: writing index: %w", err)
+		return w.err
 	}
 	binary.LittleEndian.PutUint32(w.frame[0:], 0)
 	binary.LittleEndian.PutUint32(w.frame[4:], 0)
@@ -220,10 +209,8 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	w.off += frameSize
-	if w.version >= 2 {
-		if _, err := w.w.Write(encodeFooter(indexOff, w.total, uint32(len(w.idx)))); err != nil {
-			w.err = fmt.Errorf("tracefile: writing footer: %w", err)
-		}
+	if _, err := w.w.Write(encodeFooter(indexOff, w.total, uint32(len(w.idx)))); err != nil {
+		w.err = fmt.Errorf("tracefile: writing footer: %w", err)
 	}
 	return w.err
 }

@@ -145,8 +145,23 @@ func (s Spec) Validate() error {
 	if s.Cores <= 0 {
 		return fmt.Errorf("workload %s: cores %d", s.Name, s.Cores)
 	}
-	if s.InstrFootprint <= 0 || s.PrivatePerCore <= 0 || s.SharedFootprint <= 0 {
+	if s.InstrFootprint <= 0 || s.PrivatePerCore <= 0 || s.SharedFootprint <= 0 || s.SharedROFootprint < 0 {
 		return fmt.Errorf("workload %s: non-positive footprint", s.Name)
+	}
+	// A footprint larger than its address region would alias into the
+	// next class's region (and size the Zipf CDF without bound).
+	for _, f := range []struct {
+		name      string
+		bytes, to int64
+	}{
+		{"InstrFootprint", s.InstrFootprint, sharedBase - instrBase},
+		{"SharedFootprint", s.SharedFootprint, sharedROBase - sharedBase},
+		{"SharedROFootprint", s.SharedROFootprint, privateBase - sharedROBase},
+		{"PrivatePerCore", s.PrivatePerCore, privateStep},
+	} {
+		if f.bytes > f.to {
+			return fmt.Errorf("workload %s: %s %d exceeds its %d-byte address region", s.Name, f.name, f.bytes, f.to)
+		}
 	}
 	if s.BusyPerRef <= 0 {
 		return fmt.Errorf("workload %s: BusyPerRef %d", s.Name, s.BusyPerRef)

@@ -31,6 +31,27 @@ func TestSpecValidationCatchesErrors(t *testing.T) {
 	if s.Validate() == nil {
 		t.Fatal("MLP < 1 accepted")
 	}
+	// Footprints are bounded by their address regions, so none aliases
+	// into the next class's region.
+	for _, set := range []func(*Spec){
+		func(s *Spec) { s.InstrFootprint = sharedBase - instrBase + 1 },
+		func(s *Spec) { s.SharedFootprint = sharedROBase - sharedBase + 1 },
+		func(s *Spec) { s.SharedROFootprint = privateBase - sharedROBase + 1 },
+		func(s *Spec) { s.SharedROFootprint = -1 },
+		func(s *Spec) { s.PrivatePerCore = privateStep + 1 },
+	} {
+		s = OLTPDB2()
+		set(&s)
+		if s.Validate() == nil {
+			t.Errorf("out-of-region footprint accepted: %+v", s)
+		}
+	}
+	s = OLTPDB2()
+	s.InstrFootprint = sharedBase - instrBase
+	s.PrivatePerCore = privateStep
+	if err := s.Validate(); err != nil {
+		t.Errorf("region-sized footprints rejected: %v", err)
+	}
 }
 
 func TestGeneratorDeterminism(t *testing.T) {

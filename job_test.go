@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"rnuca"
+	"rnuca/internal/leakcheck"
 	"rnuca/internal/resultcache"
 )
 
@@ -104,6 +105,7 @@ func TestJobKeyShardedSequentialIdentical(t *testing.T) {
 // engine's own progress callback while batched engines may run
 // concurrently.)
 func TestJobRunCancellation(t *testing.T) {
+	leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var once sync.Once
@@ -197,6 +199,7 @@ func TestJobWireShorthands(t *testing.T) {
 // individual runs, and returns partial results plus the context error
 // when canceled.
 func TestJobCompare(t *testing.T) {
+	leakcheck.Check(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cmp.rnt")
 	rec := rnuca.Job{
