@@ -20,11 +20,13 @@
 // comparisons, replay targets -corpus. Weights are comma-separated
 // kind=N pairs.
 //
-// Each job's submit→terminal latency is recorded client-side with the
-// same streaming quantile estimators the server uses, so the final
-// comparison table — client vs the server's /v1/stats — is estimator
-// against estimator: the delta is network, polling granularity, and
-// scheduling, the part of latency a server-side view never sees.
+// Each job's submit→terminal latency is recorded client-side in the
+// same bucketed latency window the server uses (obs.WindowVec: one
+// fixed bucket layout, quantiles within one bucket width and clamped
+// to the exact min/max), so the final comparison table — client vs
+// the server's /v1/stats — compares like with like: the delta is
+// network, polling granularity, and scheduling, the part of latency a
+// server-side view never sees.
 //
 // The exit status is 0 only when every scheduled job was accepted and
 // finished done: sheds, throttles, failures, or transport errors exit 1

@@ -30,7 +30,9 @@
 // over the last minute and cumulative since start — and the
 // rnuca_jobs_slo_breached_total{kind} counter burns on every done or
 // failed job that exceeded the target. 0 (the default) disables SLO
-// accounting; latency quantiles are tracked regardless and served on
+// accounting; latency quantiles are tracked regardless, in sliding
+// windows of fixed buckets (obs.WindowVec: each quantile within one
+// bucket width, clamped to the window's exact min/max), and served on
 // /v1/stats and as rnuca_*_quantile_seconds gauges on /metrics.
 // Submissions refused for queue pressure return 429 with Retry-After
 // (and count in rnuca_jobs_throttled_total); a draining server

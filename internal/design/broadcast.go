@@ -72,15 +72,16 @@ func (d *PrivateBroadcast) Access(r trace.Ref) sim.Cost {
 	// the traffic accounting captures.
 	bcast := d.broadcastCost(tile)
 
+	dist := func(t int) int { return ch.Hops(tile, noc.TileID(t)) }
 	var act coherence.Action
 	if r.IsWrite() {
-		act = d.dir.Write(addr, core, d.dists[core])
+		act = d.dir.Write(addr, core, dist)
 		for _, t := range act.Invalidated {
 			d.sl.l2[t].Invalidate(addr)
 			d.sl.victim[t].Take(addr)
 		}
 	} else {
-		act = d.dir.Read(addr, core, d.dists[core])
+		act = d.dir.Read(addr, core, dist)
 	}
 
 	lat := float64(ch.Cfg.L2HitCycles) + bcast
@@ -138,7 +139,7 @@ func (d *PrivateBroadcast) broadcastUpgrade(core int, addr cache.Addr, line *cac
 		}
 	}
 	tile := noc.TileID(core)
-	act := d.dir.Write(addr, core, d.dists[core])
+	act := d.dir.Write(addr, core, func(t int) int { return d.ch.Hops(tile, noc.TileID(t)) })
 	for _, t := range act.Invalidated {
 		d.sl.l2[t].Invalidate(addr)
 		d.sl.victim[t].Take(addr)

@@ -18,28 +18,16 @@ type Private struct {
 	sl  slices
 	dir *coherence.Directory // tracks which tiles' private L2s hold blocks
 	k   uint
-
-	// dists[core] measures hops from core's tile, for directory
-	// transactions. Built once at construction: the directory takes a
-	// distance function per transaction, and minting a fresh closure on
-	// every miss was a per-reference heap allocation.
-	dists []func(int) int
 }
 
 // NewPrivate builds the private design on a chassis.
 func NewPrivate(ch *sim.Chassis) *Private {
-	d := &Private{
+	return &Private{
 		ch:  ch,
 		sl:  newSlices(ch.Cfg),
 		dir: coherence.NewDirectory(ch.Cfg.Cores),
 		k:   ch.Cfg.InterleaveOffset(),
 	}
-	d.dists = make([]func(int) int, ch.Cfg.Cores)
-	for c := 0; c < ch.Cfg.Cores; c++ {
-		tile := noc.TileID(c)
-		d.dists[c] = func(t int) int { return ch.Hops(tile, noc.TileID(t)) }
-	}
-	return d
 }
 
 // Name implements sim.Design.
@@ -88,17 +76,18 @@ func (d *Private) access(r trace.Ref) (sim.Cost, coherence.Source) {
 	// Local miss: local tag probe, then the distributed directory.
 	home := d.dirHome(addr)
 	lat := float64(ch.Cfg.L2HitCycles) + ch.CtrlLatency(tile, home) + float64(ch.Cfg.DirCycles)
+	dist := func(t int) int { return ch.Hops(tile, noc.TileID(t)) }
 
 	var act coherence.Action
 	if r.IsWrite() {
-		act = d.dir.Write(addr, core, d.dists[core])
+		act = d.dir.Write(addr, core, dist)
 		for _, t := range act.Invalidated {
 			d.sl.l2[t].Invalidate(addr)
 			d.sl.victim[t].Take(addr)
 		}
 		lat += ch.InvalFanout(home, act.Invalidated)
 	} else {
-		act = d.dir.Read(addr, core, d.dists[core])
+		act = d.dir.Read(addr, core, dist)
 	}
 
 	src := act.Source
@@ -160,7 +149,7 @@ func (d *Private) writeUpgrade(core int, addr cache.Addr, line *cache.Line) floa
 	}
 	tile := noc.TileID(core)
 	home := d.dirHome(addr)
-	act := d.dir.Write(addr, core, d.dists[core])
+	act := d.dir.Write(addr, core, func(t int) int { return ch.Hops(tile, noc.TileID(t)) })
 	for _, t := range act.Invalidated {
 		d.sl.l2[t].Invalidate(addr)
 		d.sl.victim[t].Take(addr)

@@ -41,7 +41,7 @@ func scrape(t *testing.T, base, series string) float64 {
 
 // The full loop: the load generator drives ≥1000 mixed cached/cold
 // jobs into an in-process server, and afterwards the two independent
-// latency views — client-side estimators and the server's /v1/stats —
+// latency views — client-side windows and the server's /v1/stats —
 // agree within estimator tolerance, with the saturation gauges back
 // at zero once everything drains.
 func TestLoadAgainstInProcessServe(t *testing.T) {
@@ -118,7 +118,7 @@ func TestLoadAgainstInProcessServe(t *testing.T) {
 
 	// Agreement within estimator tolerance. The client measures
 	// submit→terminal through HTTP plus a 10ms poll grid, the server
-	// measures it internally, and both views are reservoir estimates —
+	// measures it internally, and both views are bucket estimates —
 	// so allow an observation floor (poll granularity plus scheduling
 	// delay while the in-process engine saturates the CPU) on top of a
 	// relative band.

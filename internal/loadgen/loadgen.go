@@ -18,11 +18,13 @@
 //	replay   a replay over Config.Corpus (falls back to cached when no
 //	         corpus ref is configured)
 //
-// Client-side submit→terminal latency lands in the same streaming
-// quantile estimators the server uses (internal/obs/quantile), keyed
-// by mix kind plus the aggregate "all" — so the client's view and the
-// server's /v1/stats are directly comparable, estimator against
-// estimator. CompareTable renders that comparison.
+// Client-side submit→terminal latency lands in the same bucketed
+// latency window the server uses (obs.WindowVec), keyed by mix kind
+// plus the aggregate "all". Both ends count into one bucket layout and
+// interpolate alike, each quantile within one bucket width and clamped
+// to the exact min/max, so the client's view and the server's
+// /v1/stats are directly comparable. CompareTable renders that
+// comparison.
 package loadgen
 
 import (
@@ -40,7 +42,7 @@ import (
 	"time"
 
 	"rnuca"
-	"rnuca/internal/obs/quantile"
+	"rnuca/internal/obs"
 	"rnuca/internal/workload"
 )
 
@@ -154,13 +156,13 @@ type Result struct {
 	Elapsed time.Duration
 	// Latency holds client-side submit→terminal quantiles per mix kind
 	// plus the aggregate "all".
-	Latency map[string]quantile.Snapshot
+	Latency map[string]obs.Snapshot
 }
 
 // runner carries one run's shared state.
 type runner struct {
 	cfg Config
-	lat *quantile.Vec
+	lat *obs.WindowVec
 
 	submitted, shed, throttled, unavailable, errs atomic.Int64
 	done, failed, canceled                        atomic.Int64
@@ -180,7 +182,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		cfg: cfg,
 		// One wide sub-window spanning any plausible run: the client
 		// wants whole-run quantiles, not a sliding view.
-		lat: quantile.NewVec(1, 24*time.Hour, 4096, cfg.Seed),
+		lat: obs.NewWindowVec(1, 24*time.Hour),
 	}
 
 	// The scheduler goroutine owns the RNG: the mix sequence is a pure
@@ -350,8 +352,8 @@ func (r *runner) runOne(ctx context.Context, kind string, idx int) {
 		}
 	}
 	sec := time.Since(t0).Seconds()
-	r.lat.With(kind).Observe(sec)
-	r.lat.With("all").Observe(sec)
+	r.lat.Observe(kind, sec)
+	r.lat.Observe("all", sec)
 	switch st.State {
 	case "done":
 		r.done.Add(1)

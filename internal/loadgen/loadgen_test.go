@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"rnuca/internal/obs/quantile"
+	"rnuca/internal/obs"
 )
 
 // The mix draw is a pure function of the seed: two RNGs with the same
@@ -87,15 +87,15 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestTablesRender(t *testing.T) {
-	client := quantile.Snapshot{Count: 10, Mean: 0.02, P50: 0.015, P90: 0.03, P95: 0.04, P99: 0.05, Max: 0.06}
-	server := quantile.Snapshot{Count: 10, Mean: 0.01, P50: 0.008, P90: 0.02, P95: 0.03, P99: 0.04, Max: 0.05}
+	client := obs.Snapshot{Count: 10, Mean: 0.02, P50: 0.015, P90: 0.03, P95: 0.04, P99: 0.05, Max: 0.06}
+	server := obs.Snapshot{Count: 10, Mean: 0.01, P50: 0.008, P90: 0.02, P95: 0.03, P99: 0.04, Max: 0.05}
 	out := CompareTable(client, server).String()
 	for _, want := range []string{"p50", "p99", "client", "server", "delta", "15.00", "8.00"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("comparison table missing %q:\n%s", want, out)
 		}
 	}
-	mix := MixTable(map[string]quantile.Snapshot{"all": client, MixCached: server})
+	mix := MixTable(map[string]obs.Snapshot{"all": client, MixCached: server})
 	if s := mix.String(); !strings.Contains(s, "all") || !strings.Contains(s, "cached") {
 		t.Errorf("mix table missing rows:\n%s", s)
 	}

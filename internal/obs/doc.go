@@ -1,6 +1,6 @@
 // Package obs is the repo's dependency-free observability layer: a
-// metrics registry with a Prometheus text encoder, and a lightweight
-// span API for per-stage job timing.
+// metrics registry with a Prometheus text encoder, sliding latency
+// windows, and a lightweight span API for per-stage job timing.
 //
 // # Metrics
 //
@@ -24,6 +24,25 @@
 // consistent scrape: gauges updated together are rendered together.
 // internal/serve uses this to keep its queued/running/submitted
 // family free of mid-flight skew.
+//
+// # Latency windows
+//
+// A WindowVec keeps one sliding window per label (job kind, HTTP
+// route): a ring of sub-windows, each counting into one fixed layout
+// of quarter-octave buckets (100µs to about 105s) with its count, sum,
+// min and max kept exactly. Queries merge the live sub-windows, so the
+// view covers the trailing windows×width and ages out a sub-window at
+// a time. Snapshots reports exact count/mean/min/max and p50–p99;
+// FractionBelow reports SLO attainment. Both interpolate with the
+// function Histogram.Quantile uses: the repo has one quantile
+// algorithm.
+//
+// Error bound: a quantile is off by at most the width of its bucket
+// (about 19% of the value) and is clamped to the exact [min, max]; a
+// sampling estimator would carry a rank error instead. In exchange the
+// counts (and the sum, kept in whole nanoseconds) do not depend on
+// observation order, so a snapshot is a pure function of the observed
+// multiset, and a label costs windows × 82 counters.
 //
 // # Spans
 //

@@ -349,41 +349,69 @@ func (h *Histogram) Sum() float64 {
 	return h.sum
 }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) of the observed
-// distribution by monotone linear interpolation inside the bucket
-// where the cumulative count crosses the target rank — the
-// histogram_quantile estimate. The first bucket interpolates from a
-// lower edge of 0 (the layout is for non-negative measurements); a
-// rank landing in the +Inf bucket clamps to the highest finite bound.
-// Returns NaN when nothing was observed or q is outside [0, 1]. The
-// estimate is monotone in q and exact at bucket boundaries; its error
-// is bounded by the width of the bucket the quantile falls in.
+// Quantile estimates the q-quantile (0 <= q <= 1) with bucketQuantile;
+// a rank landing in the +Inf bucket clamps to the highest finite bound.
+// Returns NaN when nothing was observed or q is outside [0, 1].
 func (h *Histogram) Quantile(q float64) float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.count == 0 || q < 0 || q > 1 || math.IsNaN(q) {
 		return math.NaN()
 	}
-	rank := q * float64(h.count)
-	cum := uint64(0)
-	for i, b := range h.bounds {
-		prev := cum
-		cum += h.counts[i]
-		if float64(cum) < rank {
-			continue
+	return bucketQuantile(h.bounds, h.counts, h.count, q, h.bounds[len(h.bounds)-1])
+}
+
+// bucketQuantile is the repo's one quantile estimator, the
+// histogram_quantile estimate: over n > 0 observations counted into
+// buckets with the given upper bounds (counts has one more entry, the
+// +Inf bucket), it interpolates linearly inside the bucket where the
+// cumulative count crosses rank q·n. The first bucket's lower edge is
+// 0 (the layouts are for non-negative measurements) and the +Inf
+// bucket's upper edge is top. The estimate is monotone in q and exact
+// at bucket boundaries; its error is bounded by the width of the bucket
+// the quantile falls in.
+func bucketQuantile(bounds []float64, counts []uint64, n uint64, q, top float64) float64 {
+	rank, cum := q*float64(n), 0.0
+	for i, c := range counts {
+		lo, hi := bucketEdges(bounds, i, top)
+		if cum+float64(c) >= rank || i == len(bounds) {
+			if c == 0 {
+				return lo
+			}
+			return lo + (hi-lo)*(rank-cum)/float64(c)
 		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		if h.counts[i] == 0 {
-			return lo
-		}
-		return lo + (b-lo)*(rank-float64(prev))/float64(h.counts[i])
+		cum += float64(c)
 	}
-	// The rank lands in the +Inf bucket: the best monotone answer the
-	// layout allows is the largest finite bound.
-	return h.bounds[len(h.bounds)-1]
+	return top
+}
+
+// bucketFraction inverts bucketQuantile: the interpolated fraction of
+// the n counted observations at or below x, for x < top.
+func bucketFraction(bounds []float64, counts []uint64, n uint64, x, top float64) float64 {
+	cum := 0.0
+	for i, c := range counts {
+		lo, hi := bucketEdges(bounds, i, top)
+		if x < hi {
+			if x > lo {
+				cum += float64(c) * (x - lo) / (hi - lo)
+			}
+			break
+		}
+		cum += float64(c)
+	}
+	return cum / float64(n)
+}
+
+// bucketEdges returns bucket i's lower and upper edges: 0 below the
+// first bound, top above the last.
+func bucketEdges(bounds []float64, i int, top float64) (lo, hi float64) {
+	if i > 0 {
+		lo = bounds[i-1]
+	}
+	if i < len(bounds) {
+		return lo, bounds[i]
+	}
+	return lo, top
 }
 
 func (h *Histogram) write(w io.Writer, name, labels string) error {

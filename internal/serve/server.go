@@ -447,7 +447,7 @@ func (s *Server) runJob(j *job) {
 	j.queued.End()
 	wait := time.Since(j.created).Seconds()
 	s.mQueueWait.With(j.spec.Kind).Observe(wait)
-	s.lat.queueWait.With(j.spec.Kind).Observe(wait)
+	s.lat.queueWait.Observe(j.spec.Kind, wait)
 	if j.ctx.Err() != nil {
 		s.finishJob(j, JobCanceled, nil, context.Cause(j.ctx), true)
 		return

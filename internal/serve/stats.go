@@ -8,32 +8,24 @@ import (
 	"sync"
 	"time"
 
-	"rnuca/internal/obs/quantile"
+	"rnuca/internal/obs"
 )
 
 // Sliding-window shape for the latency trackers: 6 sub-windows of 10
-// seconds give a rolling last-minute view — the signal a
-// latency-driven replication controller consumes — aging out in
-// 10-second steps.
+// seconds give a rolling last-minute view, aging out in 10-second
+// steps.
 const (
 	statsSubWindows = 6
 	statsSubWidth   = 10 * time.Second
-	// statsSeed fixes the reservoir PRNG so windowed quantiles are a
-	// deterministic function of the observation stream.
-	statsSeed = 0x514e
 )
-
-// quantileLabels are the per-quantile gauge children exported on
-// /metrics for every tracked label set.
-var quantileLabels = []string{"p50", "p90", "p99", "max"}
 
 // latencyTracker owns the serve layer's windowed quantile state:
 // submit→terminal job latency and queue wait per job kind, HTTP
 // handler latency per route, and the SLO burn counters.
 type latencyTracker struct {
-	jobLatency *quantile.Vec // per kind, seconds, submit→terminal
-	queueWait  *quantile.Vec // per kind, seconds
-	httpWait   *quantile.Vec // per route, seconds
+	jobLatency *obs.WindowVec // per kind, seconds, submit→terminal
+	queueWait  *obs.WindowVec // per kind, seconds
+	httpWait   *obs.WindowVec // per route, seconds
 
 	slo time.Duration // 0 disables SLO accounting
 
@@ -46,13 +38,10 @@ type latencyTracker struct {
 }
 
 func newLatencyTracker(slo time.Duration) *latencyTracker {
-	mk := func(seed int64) *quantile.Vec {
-		return quantile.NewVec(statsSubWindows, statsSubWidth, 0, seed)
-	}
 	return &latencyTracker{
-		jobLatency:  mk(statsSeed),
-		queueWait:   mk(statsSeed + 1),
-		httpWait:    mk(statsSeed + 2),
+		jobLatency:  obs.NewWindowVec(statsSubWindows, statsSubWidth),
+		queueWait:   obs.NewWindowVec(statsSubWindows, statsSubWidth),
+		httpWait:    obs.NewWindowVec(statsSubWindows, statsSubWidth),
 		slo:         slo,
 		sloTotal:    map[string]uint64{},
 		sloBreached: map[string]uint64{},
@@ -63,7 +52,7 @@ func newLatencyTracker(slo time.Duration) *latencyTracker {
 // always enters the windowed quantiles; done and failed jobs also
 // burn against the SLO. Returns whether this job breached the target.
 func (lt *latencyTracker) observeJob(kind string, state JobState, seconds float64) bool {
-	lt.jobLatency.With(kind).Observe(seconds)
+	lt.jobLatency.Observe(kind, seconds)
 	if lt.slo <= 0 || state == JobCanceled {
 		return false
 	}
@@ -130,8 +119,8 @@ type LatencyStats struct {
 	P99   float64 `json:"p99_seconds"`
 }
 
-// latencyStats converts a quantile snapshot to the wire shape.
-func latencyStats(s quantile.Snapshot) LatencyStats {
+// latencyStats converts a window snapshot to the wire shape.
+func latencyStats(s obs.Snapshot) LatencyStats {
 	return LatencyStats{
 		Count: s.Count, Mean: s.Mean, Min: s.Min, Max: s.Max,
 		P50: s.P50, P90: s.P90, P95: s.P95, P99: s.P99,
@@ -218,7 +207,7 @@ func (s *Server) Stats() StatsResponse {
 			total, breached := s.lat.sloCounters(kind)
 			slo := &SLOStats{
 				TargetSeconds:    s.lat.slo.Seconds(),
-				WindowAttainment: s.lat.jobLatency.With(kind).FractionBelow(s.lat.slo.Seconds()),
+				WindowAttainment: s.lat.jobLatency.FractionBelow(kind, s.lat.slo.Seconds()),
 				Counted:          total,
 				Breached:         breached,
 				Attainment:       1,
@@ -245,7 +234,7 @@ func (s *Server) Stats() StatsResponse {
 }
 
 // latencyMap converts a whole Vec to the wire shape.
-func latencyMap(v *quantile.Vec) map[string]LatencyStats {
+func latencyMap(v *obs.WindowVec) map[string]LatencyStats {
 	snaps := v.Snapshots()
 	if len(snaps) == 0 {
 		return nil
@@ -327,7 +316,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		sec := time.Since(start).Seconds()
 		s.mHTTPRequests.With(route, strconv.Itoa(sw.code)).Inc()
 		s.mHTTPDuration.With(route).Observe(sec)
-		s.lat.httpWait.With(route).Observe(sec)
+		s.lat.httpWait.Observe(route, sec)
 	})
 }
 
@@ -335,7 +324,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 // registry's float gauges; it runs as an OnCollect hook so every
 // scrape re-snapshots under the render lock.
 func (s *Server) collectQuantiles() {
-	publish := func(v *quantile.Vec, g func(label, q string, val float64)) {
+	publish := func(v *obs.WindowVec, g func(label, q string, val float64)) {
 		for label, snap := range v.Snapshots() {
 			g(label, "p50", snap.P50)
 			g(label, "p90", snap.P90)
