@@ -230,6 +230,43 @@ func TestWindowOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestWindowMergeDeterminism: two windows fed the same stream across
+// rotations, concurrently, merge their live sub-windows to identical
+// snapshots, equal to one unrotated window holding only the values
+// that are still live.
+func TestWindowMergeDeterminism(t *testing.T) {
+	vals := logUniform(5000, 1e-4, 4)
+	feed := func(w one, clk *fakeClock) {
+		for i, v := range vals {
+			w.Observe(v)
+			if i%1000 == 999 {
+				clk.advance(10 * time.Second)
+			}
+		}
+	}
+	clkA, clkB := newFakeClock(), newFakeClock()
+	a, b := testWindow(4, 10*time.Second, clkA), testWindow(4, 10*time.Second, clkB)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); feed(a, clkA) }()
+	go func() { defer wg.Done(); feed(b, clkB) }()
+	wg.Wait()
+
+	sa, sb := a.Snapshot(), b.Snapshot()
+	if sa != sb {
+		t.Errorf("same feed, different merged snapshots:\n%+v\n%+v", sa, sb)
+	}
+	// Five fills of 1000, each followed by one rotation: the ring of 4
+	// holds the empty current sub-window and the last three fills.
+	live := newOne(4, time.Hour)
+	for _, v := range vals[2000:] {
+		live.Observe(v)
+	}
+	if want := live.Snapshot(); sa != want {
+		t.Errorf("merged snapshot = %+v, want the last three fills %+v", sa, want)
+	}
+}
+
 // TestWindowQuantileError: on a known log-uniform stream every
 // reported quantile lies within one bucket width of the exact order
 // statistic.
